@@ -10,7 +10,7 @@
 // (BENCH_<n>.json by convention, one per perf PR) so the performance
 // trajectory of the engine is tracked in-repo. The report also embeds the
 // instrumented DMatch run's routing profile (messages routed/deduped,
-// route time per superstep, adaptive rebalances) as routing_stats.
+// route time per superstep) as routing_stats.
 //
 //	go run ./cmd/bench                   # full run, writes BENCH_10.json
 //	go run ./cmd/bench -fig6=false       # hot-path benchmarks only
@@ -164,7 +164,6 @@ type routingStats struct {
 	MessagesDeduped int64 `json:"messages_deduped"`
 	RouteNsTotal    int64 `json:"route_ns_total"`
 	RouteNsPerStep  int64 `json:"route_ns_per_step"`
-	Rebalances      int   `json:"rebalances"`
 }
 
 // report is the BENCH_<n>.json document.
@@ -219,8 +218,8 @@ type report struct {
 	// interleaved pairs, median per-pair ratio). Budget ≤ 5%.
 	HealthIncOverheadPct float64 `json:"health_inc_overhead_pct"`
 	// RoutingStats snapshots the instrumented DMatch run's routing
-	// profile (messages routed/deduped, route time per superstep,
-	// adaptive rebalances), from the same pass as StageHistograms.
+	// profile (messages routed/deduped, route time per superstep), from
+	// the same pass as StageHistograms.
 	RoutingStats *routingStats `json:"routing_stats,omitempty"`
 	// WireStats snapshots the wire-level counters of each distributed
 	// DMatchDist arm (bytes and frames actually on the wire, encode and
@@ -869,9 +868,7 @@ func runIncDeduceArms(p *pass, g *datagen.Generated, rules []*dcer.Rule, reg *ml
 	// the incremental path A_Δ. The run is pure update-driven drain — the
 	// component that dominates the Fig. 6 drivers — A/B'd between the
 	// sequential and the batched parallel drain.
-	if armOn("IncDeduce") {
-		runIncDeduce(p, g, rules, reg)
-	}
+	runIncDeduce(p, g, rules, reg)
 
 	// Cache microbenchmarks: the packed-key hit path of the sharded pair
 	// cache, and the feature store's bundle reuse over generated records.
@@ -1001,7 +998,6 @@ func runIncDeduceArms(p *pass, g *datagen.Generated, rules []*dcer.Rule, reg *ml
 			MessagesRouted:  dres.MessagesRouted,
 			MessagesDeduped: dres.MessagesDeduped,
 			RouteNsTotal:    routeNs,
-			Rebalances:      len(dres.Rebalances),
 		}
 		if dres.Supersteps > 0 {
 			p.routing.RouteNsPerStep = routeNs / int64(dres.Supersteps)
@@ -1039,28 +1035,41 @@ func runIncDeduceArms(p *pass, g *datagen.Generated, rules []*dcer.Rule, reg *ml
 
 // runIncDeduce measures the sequential and batched-parallel drain over a
 // replayed fact set — plus the compiled-plan A/B over the parallel drain
-// — and snapshots the parallel run's engine counters.
+// — and snapshots the parallel run's engine counters. Each arm is gated
+// by -arms under its own name (IncDeduce/...), so a pattern such as
+// '^(Deduce|IncDeduce)/' selects exactly the arms it names.
 func runIncDeduce(p *pass, g *datagen.Generated, rules []*dcer.Rule, reg *mlpred.Registry) {
+	healthOn := armOn("IncDeduce/health") || armOn("IncDeduce/health_base")
+	// An explicit DrainParallelMin forces the batched path even where the
+	// default would fall back to sequential (GOMAXPROCS=1 hosts).
+	parOpts := chase.Options{ShareIndexes: true, DrainParallelMin: chase.DefaultDrainParallelMin}
+	interpOpts := parOpts
+	interpOpts.InterpretRules = true
+	type incArm struct {
+		name string
+		opts chase.Options
+	}
+	var arms []incArm
+	for _, arm := range []incArm{
+		{"IncDeduce/sequential", chase.Options{ShareIndexes: true, SequentialDrain: true}},
+		{"IncDeduce/parallel", parOpts},
+		{"IncDeduce/plan=off", interpOpts},
+		{"IncDeduce/plan=on", parOpts},
+	} {
+		if armOn(arm.name) {
+			arms = append(arms, arm)
+		}
+	}
+	if len(arms) == 0 && !healthOn {
+		return
+	}
 	base, err := chase.New(g.D, rules, reg, chase.Options{ShareIndexes: true})
 	if err != nil {
 		fatal(err)
 	}
 	facts := base.Deduce()
 	wantClasses := dcer.CanonicalClasses(base.Classes())
-	// An explicit DrainParallelMin forces the batched path even where the
-	// default would fall back to sequential (GOMAXPROCS=1 hosts).
-	parOpts := chase.Options{ShareIndexes: true, DrainParallelMin: chase.DefaultDrainParallelMin}
-	interpOpts := parOpts
-	interpOpts.InterpretRules = true
-	for _, arm := range []struct {
-		name string
-		opts chase.Options
-	}{
-		{"IncDeduce/sequential", chase.Options{ShareIndexes: true, SequentialDrain: true}},
-		{"IncDeduce/parallel", parOpts},
-		{"IncDeduce/plan=off", interpOpts},
-		{"IncDeduce/plan=on", parOpts},
-	} {
+	for _, arm := range arms {
 		logg.Infof("benchmarking %s...", arm.name)
 		var last *chase.Engine
 		r := testing.Benchmark(func(b *testing.B) {
@@ -1090,6 +1099,9 @@ func runIncDeduce(p *pass, g *datagen.Generated, rules []*dcer.Rule, reg *mlpred
 	// per-pair ratio cancels host drift. The incremental path is where
 	// the auditors actually fire repeatedly — the drain loop audits every
 	// healthAuditEvery rounds plus once at the fixpoint.
+	if !healthOn {
+		return
+	}
 	const incPairs = 6
 	truth := eval.NewTruth(g.Truth)
 	oneInc := func(mon *health.Monitor) time.Duration {
@@ -1311,9 +1323,9 @@ func main() {
 		fmt.Printf("  %-24s %3d ops  %12d ns/op  %10d allocs/op\n", e.Name, e.Ops, e.NsPerOp, e.AllocsPerOp)
 	}
 	if rs := rep.RoutingStats; rs != nil {
-		fmt.Printf("routing (w=%d): %d supersteps, %d routed, %d deduped, %s route time per superstep, %d rebalances\n",
+		fmt.Printf("routing (w=%d): %d supersteps, %d routed, %d deduped, %s route time per superstep\n",
 			rs.Workers, rs.Supersteps, rs.MessagesRouted, rs.MessagesDeduped,
-			time.Duration(rs.RouteNsPerStep).Round(time.Microsecond), rs.Rebalances)
+			time.Duration(rs.RouteNsPerStep).Round(time.Microsecond))
 	}
 	if len(rep.WireStats) > 0 {
 		var names []string

@@ -214,9 +214,9 @@ func main() {
 		}
 		classes = res.Classes()
 		if *verbose {
-			logg.Infof("workers=%d supersteps=%d messages=%d deduped=%d rebalances=%d recoveries=%d partition=%v er=%v sim=%v",
+			logg.Infof("workers=%d supersteps=%d messages=%d deduped=%d recoveries=%d partition=%v er=%v sim=%v",
 				*workers, res.Supersteps, res.MessagesRouted, res.MessagesDeduped,
-				len(res.Rebalances), len(res.Recoveries), res.PartitionTime, res.ERTime, res.SimulatedTime)
+				len(res.Recoveries), res.PartitionTime, res.ERTime, res.SimulatedTime)
 			if *distributed {
 				w := res.Wire
 				logg.Infof("wire: out=%dB in=%dB frames=%d/%d encode=%v decode=%v dict=%d strings %dB (naive %dB)",
@@ -230,6 +230,11 @@ func main() {
 		}
 	}
 
+	// Canonical order, so the output is a function of (dataset, rules)
+	// alone: members sorted within each class, classes by smallest member.
+	for _, class := range classes {
+		sort.Slice(class, func(i, j int) bool { return class[i] < class[j] })
+	}
 	sort.Slice(classes, func(i, j int) bool { return classes[i][0] < classes[j][0] })
 	if *outFile != "" {
 		if err := writeMatches(*outFile, d, classes); err != nil {
@@ -237,7 +242,6 @@ func main() {
 		}
 	}
 	for _, class := range classes {
-		sort.Slice(class, func(i, j int) bool { return class[i] < class[j] })
 		for k, gid := range class {
 			t := d.Tuple(gid)
 			s := d.SchemaOf(t)

@@ -82,3 +82,36 @@ func TestDMatchHealthObservatory(t *testing.T) {
 		t.Errorf("healthy DMatch run diagnosed unhealthy:\n%s", d)
 	}
 }
+
+// TestDistributedHealthAudit checks a distributed run gets the master's
+// health layer from the shared superstep loop: the sampled audit of the
+// global union-find runs every superstep and passes.
+func TestDistributedHealthAudit(t *testing.T) {
+	g, rules := tpchWorkload(t)
+	mon := health.NewMonitor(health.Options{DiagnosisDir: t.TempDir(), SampleSize: 1 << 20, Seed: 1})
+	errs := make(chan error, 2)
+	res, err := dmatch.RunDistributed(g.D, rules, mlpred.DefaultRegistry(),
+		dmatch.Options{Workers: 2, Health: mon},
+		dmatch.DistOptions{Spawn: spawnLocalWorkers(t, nil, errs)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 2; i++ {
+		if werr := <-errs; werr != nil {
+			t.Fatalf("worker: %v", werr)
+		}
+	}
+	for _, c := range mon.Report().Checks {
+		if c.Name != "global_unionfind" {
+			continue
+		}
+		if c.Runs != int64(res.Supersteps) {
+			t.Errorf("global_unionfind ran %d times over %d supersteps", c.Runs, res.Supersteps)
+		}
+		if c.Status != health.StatusPass.String() || c.Violations != 0 {
+			t.Errorf("global_unionfind: status %s, %d violation(s): %s", c.Status, c.Violations, c.Detail)
+		}
+		return
+	}
+	t.Fatal("distributed run recorded no global_unionfind audit")
+}

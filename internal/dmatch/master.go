@@ -1,26 +1,19 @@
 package dmatch
 
 import (
-	"fmt"
-
 	"dcer/internal/chase"
-	"dcer/internal/mlpred"
 	"dcer/internal/relation"
-	"dcer/internal/rule"
 	"dcer/internal/unionfind"
 )
 
-// masterState is the master's global view of a DMatch run, shared by the
-// in-process BSP loop (Run) and the distributed one (RunDistributed): the
-// global id-equivalence relation E_id with per-class host bitsets, the
+// masterState is the master's global view of a DMatch run, driven by the
+// one superstep loop (bsp.go) in both execution modes: the global
+// id-equivalence relation E_id with per-class host bitsets, the
 // tuple→worker host lists, the per-destination delivery records
-// (seen-sets), and the route scratch the per-superstep fold reuses. The
-// routing discipline is PR-5's: phase 1 folds every new fact into Γ
-// sequentially and computes its recipient bitset (two bitword ORs off the
-// class roots); phase 2 builds each destination's inbox independently,
-// suppressing re-deliveries. Extracting it here keeps the two masters
-// byte-identical — the in-process mode is the distributed mode's
-// equivalence oracle.
+// (seen-sets), and the route scratch the per-superstep fold reuses.
+// Phase 1 folds every new fact into Γ sequentially and computes its
+// recipient bitset (two bitword ORs off the class roots); phase 2 builds
+// each destination's inbox independently, suppressing re-deliveries.
 type masterState struct {
 	n       int // worker count (fixed; dead workers keep their slot)
 	words   int // host-bitset words, (n+63)/64
@@ -34,13 +27,31 @@ type masterState struct {
 	// seen[w] is worker w's delivery record: every fact routed to w plus
 	// every fact w produced itself. The per-destination builders consult
 	// it so a fact is never re-sent (Result.MessagesDeduped counts the
-	// suppressions); rebuilds (migration or recovery) reset it.
+	// suppressions); a recovery rebuild resets it.
 	seen []map[chase.Fact]struct{}
 
 	// Route scratch, reused across supersteps: the fact list and the
 	// recipient-bitset arena the per-destination builders read.
 	routes []factRoute
 	arena  []uint64
+}
+
+// factRoute is one routable fact of a superstep with its recipient bitset
+// (an offset into the route arena, so arena growth never invalidates it).
+type factRoute struct {
+	f    chase.Fact
+	from int
+	off  int
+}
+
+// hasHost reports whether worker w appears in a host list.
+func hasHost(hosts []int, w int) bool {
+	for _, h := range hosts {
+		if h == w {
+			return true
+		}
+	}
+	return false
 }
 
 // datasetIDSpace is the dense id-space bound of a dataset (max GID + 1).
@@ -119,7 +130,7 @@ func (ms *masterState) beginFold() {
 // the route list with its recipient bitset (the ΔΓ_i of the fixpoint
 // equations). Matches/Validated accumulate into res in fold order, so
 // callers must fold deltas in worker-index order for the deterministic
-// Γ both masters share.
+// Γ both execution modes share.
 func (ms *masterState) foldDelta(w int, delta []chase.Fact, res *Result) {
 	words := ms.words
 	for _, f := range delta {
@@ -218,59 +229,4 @@ func (ms *masterState) resetWorker(w int, replay []chase.Fact) {
 		sh[f] = struct{}{}
 	}
 	ms.seen[w] = sh
-}
-
-// workerChaseOptions maps run options to the chase.Options every worker
-// engine is built with. It is defined as the round-trip through the wire
-// form (see distributed.go), so the in-process engines and the worker-
-// process engines are constructed from identical chase.Options by
-// construction — engine construction is part of the Γ byte-identity
-// contract between the two modes (observability hooks are layered on by
-// the caller; they never change Γ).
-func workerChaseOptions(opts Options, idSpace int) chase.Options {
-	return chaseOptsFromWire(wireEngineOpts(opts), idSpace)
-}
-
-// buildWorkerEngine constructs one chase engine over a fragment, with
-// each rule scoped to the union of the worker's blocks generated for that
-// rule (hypercube semantics: a rule is checked within its own blocks).
-// Identical rule scopes are deduplicated so MQO index sharing applies.
-// Shared by Run, the adaptive rebalancer, and RunWorker (worker
-// processes), which is what keeps the engines — and therefore Γ —
-// identical across execution modes.
-func buildWorkerEngine(d *relation.Dataset, rules []*rule.Rule, reg *mlpred.Registry,
-	i int, frag []relation.TID, ruleFrags [][]relation.TID, copts chase.Options) (*chase.Engine, error) {
-	fd := d.Fragment(frag)
-	scopes := make([]*relation.Dataset, len(rules))
-	type scopeEntry struct {
-		ids []relation.TID
-		sc  *relation.Dataset
-	}
-	byContent := map[uint64][]scopeEntry{}
-	for ri, ids := range ruleFrags {
-		if len(ids) == len(frag) {
-			scopes[ri] = fd
-			continue
-		}
-		key := scopeKey(ids)
-		found := false
-		for _, ent := range byContent[key] {
-			if sameIDs(ent.ids, ids) {
-				scopes[ri] = ent.sc
-				found = true
-				break
-			}
-		}
-		if found {
-			continue
-		}
-		sc := d.Fragment(ids)
-		byContent[key] = append(byContent[key], scopeEntry{ids, sc})
-		scopes[ri] = sc
-	}
-	eng, err := chase.NewScoped(fd, rules, scopes, reg, copts)
-	if err != nil {
-		return nil, fmt.Errorf("dmatch: worker %d: %w", i, err)
-	}
-	return eng, nil
 }

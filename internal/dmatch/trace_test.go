@@ -93,3 +93,57 @@ func TestParallelTraceCausality(t *testing.T) {
 		}
 	}
 }
+
+// TestDistributedTraceSpans checks the master side of a distributed run
+// traces through the shared superstep loop: given a trace context, it
+// records dmatch.Run → dmatch.superstep → dmatch.route, and every parent
+// resolves to a recorded span of the same trace.
+func TestDistributedTraceSpans(t *testing.T) {
+	g, rules := tpchWorkload(t)
+	reg := telemetry.NewRegistry()
+	errs := make(chan error, 2)
+	if _, err := dmatch.RunDistributed(g.D, rules, mlpred.DefaultRegistry(),
+		dmatch.Options{Workers: 2, Trace: reg.Tracer().NewTrace(telemetry.PIDDMatch, 0)},
+		dmatch.DistOptions{Spawn: spawnLocalWorkers(t, nil, errs)}); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 2; i++ {
+		if werr := <-errs; werr != nil {
+			t.Fatalf("worker: %v", werr)
+		}
+	}
+	spans := reg.Tracer().Snapshot()
+	byID := map[uint64]telemetry.SpanRecord{}
+	for _, sp := range spans {
+		byID[sp.SpanID] = sp
+	}
+	parentName := func(sp telemetry.SpanRecord) string {
+		p, ok := byID[sp.ParentID]
+		if !ok || p.TraceID != sp.TraceID {
+			return ""
+		}
+		return p.Name
+	}
+	count := map[string]int{}
+	for _, sp := range spans {
+		if sp.ParentID != 0 && parentName(sp) == "" {
+			t.Errorf("span %q: parent %d not recorded in trace %d", sp.Name, sp.ParentID, sp.TraceID)
+		}
+		switch sp.Name {
+		case "dmatch.superstep":
+			if got := parentName(sp); got != "dmatch.Run" {
+				t.Errorf("dmatch.superstep parented by %q, want dmatch.Run", got)
+			}
+		case "dmatch.route":
+			if got := parentName(sp); got != "dmatch.superstep" {
+				t.Errorf("dmatch.route parented by %q, want dmatch.superstep", got)
+			}
+		}
+		count[sp.Name]++
+	}
+	for _, name := range []string{"dmatch.Run", "dmatch.superstep", "dmatch.route", "hypart.Partition"} {
+		if count[name] == 0 {
+			t.Errorf("distributed trace has no %s span", name)
+		}
+	}
+}

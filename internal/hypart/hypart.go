@@ -86,8 +86,8 @@ type Stats struct {
 // identity (the sorted packed (fn, extent, bucket) triples), its member
 // tuples, the rules whose hypercubes generated it, and the worker the LPT
 // assignment placed it on. Blocks are retained in the Result so the
-// scheduler can re-assign them later (skew-adaptive rebalancing in
-// dmatch) without re-partitioning.
+// master can re-assign them later (worker-failure recovery in dmatch)
+// without re-partitioning.
 type Block struct {
 	Canon  []uint64       // sorted packed dims; the deterministic identity
 	GIDs   []relation.TID // sorted member tuples
@@ -515,7 +515,7 @@ func Partition(d *relation.Dataset, rules []*rule.Rule, n int, opts Options) (*R
 	for i := range res.Blocks {
 		costs[i] = float64(len(res.Blocks[i].GIDs))
 	}
-	assign := AssignLPT(costs, n)
+	assign := assignLPT(costs, n)
 	for i := range res.Blocks {
 		res.Blocks[i].Worker = assign[i]
 	}
@@ -533,13 +533,12 @@ func Partition(d *relation.Dataset, rules []*rule.Rule, n int, opts Options) (*R
 	return res, nil
 }
 
-// AssignLPT assigns blocks to n workers with the LPT minimum-makespan
-// heuristic over the given per-block costs: blocks in descending cost
-// order (ties by block index, which is canonical key order) go to the
-// least-loaded worker (ties to the lowest worker). Partition calls it
-// with block sizes; the skew-adaptive scheduler in dmatch re-invokes it
-// with observed per-block costs to migrate blocks between supersteps.
-func AssignLPT(costs []float64, n int) []int {
+// assignLPT assigns blocks to n workers with the LPT minimum-makespan
+// heuristic over the given per-block costs (Partition passes block
+// sizes): blocks in descending cost order (ties by block index, which is
+// canonical key order) go to the least-loaded worker (ties to the lowest
+// worker).
+func assignLPT(costs []float64, n int) []int {
 	order := make([]int, len(costs))
 	for i := range order {
 		order[i] = i

@@ -22,26 +22,15 @@ type Hello struct {
 	Rules       int
 }
 
-// EngineOpts is the subset of dmatch.Options a worker needs to construct
-// a chase engine identical to the in-process one (the Γ byte-identity
-// oracle depends on it).
-type EngineOpts struct {
-	NoMQO              bool
-	SequentialDeduce   bool
-	SequentialDrain    bool
-	InterpretRules     bool
-	MaxDeps            int
-	DrainParallelMin   int
-	PlanResortMinEvals int
-}
-
-// Assign carries a worker's (re)assignment: engine options, the fragment
-// and per-rule scopes (delta-varint packed via hypart), and the fact
-// history to replay through A_Δ after the rebuild (empty on the initial
-// assignment, the full routed history after a recovery or migration).
+// Assign carries a worker's (re)assignment: the engine options, the
+// fragment and per-rule scopes (delta-varint packed via hypart), and the
+// fact history to replay through A_Δ after the rebuild (empty on the
+// initial assignment, the full routed history after a recovery). Only
+// the value fields of Opts cross the wire; its hooks (Metrics, Trace,
+// Log, Health, Provenance) never do and decode as zero.
 type Assign struct {
 	Worker, Workers int
-	Opts            EngineOpts
+	Opts            chase.Options
 	Frag            []relation.TID
 	RuleFrags       [][]relation.TID
 	Replay          []chase.Fact
@@ -54,7 +43,7 @@ type Step struct {
 }
 
 // Delta is one superstep's worker output: the newly deduced facts plus
-// the worker's compute time (the master's timeline and rebalancer input).
+// the worker's compute time (the master's timeline input).
 type Delta struct {
 	Step   int
 	BusyNs int64
@@ -149,23 +138,18 @@ func (e *Encoder) Assign(a Assign) error {
 	fw.begin(MsgAssign)
 	fw.uvarint(uint64(a.Worker))
 	fw.uvarint(uint64(a.Workers))
+	o := a.Opts
 	var flags uint64
-	if a.Opts.NoMQO {
-		flags |= 1
-	}
-	if a.Opts.SequentialDeduce {
-		flags |= 2
-	}
-	if a.Opts.SequentialDrain {
-		flags |= 4
-	}
-	if a.Opts.InterpretRules {
-		flags |= 8
+	for i, on := range []bool{o.ShareIndexes, o.SequentialDeduce, o.SequentialDrain, o.InterpretRules} {
+		if on {
+			flags |= 1 << i
+		}
 	}
 	fw.uvarint(flags)
-	fw.varint(int64(a.Opts.MaxDeps))
-	fw.varint(int64(a.Opts.DrainParallelMin))
-	fw.varint(int64(a.Opts.PlanResortMinEvals))
+	for _, x := range []int{o.MaxDeps, o.IDSpace, o.DrainParallelMin, o.PlanResortMinEvals} {
+		fw.varint(int64(x))
+	}
+	fw.varint(o.MemBudgetBytes)
 	fw.buf = hypart.AppendFragment(fw.buf, a.Frag, a.RuleFrags)
 	e.writeFacts(a.Replay)
 	return fw.flush()
@@ -334,21 +318,20 @@ func (d *Decoder) Next() (Msg, error) {
 		if m.Assign.Workers, err = p.intField("workers"); err != nil {
 			return Msg{}, err
 		}
+		o := &m.Assign.Opts
 		flags, err := p.uvarint()
 		if err != nil {
 			return Msg{}, err
 		}
-		m.Assign.Opts.NoMQO = flags&1 != 0
-		m.Assign.Opts.SequentialDeduce = flags&2 != 0
-		m.Assign.Opts.SequentialDrain = flags&4 != 0
-		m.Assign.Opts.InterpretRules = flags&8 != 0
-		if m.Assign.Opts.MaxDeps, err = p.varintInt("max deps"); err != nil {
-			return Msg{}, err
+		for i, on := range []*bool{&o.ShareIndexes, &o.SequentialDeduce, &o.SequentialDrain, &o.InterpretRules} {
+			*on = flags&(1<<i) != 0
 		}
-		if m.Assign.Opts.DrainParallelMin, err = p.varintInt("drain parallel min"); err != nil {
-			return Msg{}, err
+		for _, x := range []*int{&o.MaxDeps, &o.IDSpace, &o.DrainParallelMin, &o.PlanResortMinEvals} {
+			if *x, err = p.varintInt("engine option"); err != nil {
+				return Msg{}, err
+			}
 		}
-		if m.Assign.Opts.PlanResortMinEvals, err = p.varintInt("plan resort min"); err != nil {
+		if o.MemBudgetBytes, err = p.varint(); err != nil {
 			return Msg{}, err
 		}
 		frag, ruleFrags, rest, err := hypart.ReadFragment(p.b[p.off:])
@@ -416,13 +399,18 @@ func (p *payload) intField(what string) (int, error) {
 	return int(x), nil
 }
 
+// varint reads a zigzag-encoded signed word.
+func (p *payload) varint() (int64, error) {
+	u, err := p.uvarint()
+	return int64(u>>1) ^ -int64(u&1), err
+}
+
 // varintInt reads a zigzag-encoded signed word bounded to int32.
 func (p *payload) varintInt(what string) (int, error) {
-	u, err := p.uvarint()
+	x, err := p.varint()
 	if err != nil {
 		return 0, err
 	}
-	x := int64(u>>1) ^ -int64(u&1)
 	if x > math.MaxInt32 || x < math.MinInt32 {
 		return 0, fmt.Errorf("wire: %s %d out of range", what, x)
 	}

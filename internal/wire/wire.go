@@ -41,7 +41,7 @@ import (
 
 // Version is the protocol version carried in Hello; mismatches abort the
 // handshake rather than misdecoding frames.
-const Version = 1
+const Version = 2
 
 // MaxFrame caps one frame's payload so a corrupt length prefix cannot
 // force an unbounded allocation. 256 MiB comfortably holds the largest
@@ -55,12 +55,12 @@ const (
 	MsgHello byte = 1 + iota
 	// MsgAssign carries a worker's fragment: the engine options, the
 	// fragment tuple ids, the per-rule scope ids, and the fact history to
-	// replay (non-empty when a rebuild follows a recovery or migration).
+	// replay (non-empty when a rebuild follows a recovery).
 	MsgAssign
 	// MsgStep delivers one superstep's inbox to a worker.
 	MsgStep
 	// MsgDelta returns one superstep's newly deduced facts to the master,
-	// with the worker's compute time for the timeline and the rebalancer.
+	// with the worker's compute time for the timeline.
 	MsgDelta
 	// MsgPong is the worker's liveness beat, sent on an interval by a
 	// side goroutine so a long Deduce never looks like a dead process.

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"io"
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"dcer/internal/chase"
@@ -57,8 +58,8 @@ func TestRoundTripAllMessages(t *testing.T) {
 	hello := Hello{Version: Version, Worker: 3, DatasetSize: 12345, IDSpace: 67890, Rules: 7}
 	assign := Assign{
 		Worker: 2, Workers: 4,
-		Opts: EngineOpts{NoMQO: true, SequentialDrain: true, MaxDeps: -1,
-			DrainParallelMin: 512, PlanResortMinEvals: 9},
+		Opts: chase.Options{ShareIndexes: true, SequentialDrain: true, InterpretRules: true, MaxDeps: -1, IDSpace: 67890,
+			DrainParallelMin: 512, PlanResortMinEvals: 9, MemBudgetBytes: 1 << 33},
 		Frag:      []relation.TID{1, 5, 9, 10, 11, 400},
 		RuleFrags: [][]relation.TID{{1, 5}, nil, {9, 10, 11, 400}},
 		Replay:    randFacts(rng, 40),
@@ -85,7 +86,7 @@ func TestRoundTripAllMessages(t *testing.T) {
 	if err != nil || m.Type != MsgAssign {
 		t.Fatalf("assign round trip: %v", err)
 	}
-	if m.Assign.Worker != assign.Worker || m.Assign.Workers != assign.Workers || m.Assign.Opts != assign.Opts {
+	if m.Assign.Worker != assign.Worker || m.Assign.Workers != assign.Workers || !reflect.DeepEqual(m.Assign.Opts, assign.Opts) {
 		t.Fatalf("assign fields: got %+v", m.Assign)
 	}
 	if fmt.Sprint(m.Assign.Frag) != fmt.Sprint(assign.Frag) {

@@ -6,9 +6,9 @@
 # the BENCH trajectory. The concurrent first pass of Deduce and the batched
 # parallel drain (internal/chase), the parallel BSP supersteps
 # (internal/dmatch), the justification log written from concurrent
-# drains (internal/provenance), and the distributed master's sender and
-# reader goroutines over the shared wire stats (internal/wire) make the
-# race detector mandatory for those packages.
+# drains (internal/provenance), and the distributed master's per-worker
+# step and reader goroutines over the shared wire stats (internal/wire)
+# make the race detector mandatory for those packages.
 #
 # Usage: scripts/ci.sh
 set -euo pipefail
@@ -37,15 +37,24 @@ go test -race -short ./internal/chase ./internal/dmatch ./internal/hypart ./inte
 echo "== provenance equivalence (proof replay vs the reference verifier, all drain modes + DMatch w>=2)"
 go test -short -run 'TestProofReplaysAgainstVerifier|TestDMatchProofEveryPair' ./internal/provenance
 
-echo "== distribution equivalence guards (parallel Partition byte-identity + dedup-routing Gamma equality + distributed TCP Gamma equality and recovery)"
+echo "== distribution equivalence guards (parallel Partition byte-identity + dedup-routing Gamma equality + in-process and distributed TCP recovery + distributed TCP Gamma equality)"
 go test -short -count=1 -run 'TestPartitionParallelEquivalence' ./internal/hypart
-go test -short -count=1 -run 'TestRoutingDedupGammaEquality|TestAdaptiveRebalance|TestDistributedEqualsInProcess|TestDistributedRecovery' ./internal/dmatch
+go test -short -count=1 -run 'TestRoutingDedupGammaEquality|TestInProcessRecovery|TestDistributedEqualsInProcess|TestDistributedRecovery' ./internal/dmatch
 
-echo "== distributed process smoke (2 real worker processes over TCP: -out CSV byte-identity vs in-process, then kill-one-worker recovery)"
+echo "== distributed process smoke (-out CSV byte-identity of w=1 vs w=2 and of in-process vs 2 real worker processes over TCP, then kill-one-worker recovery)"
 dist_data=/tmp/dcer_ci_dist_data
 rm -rf "$dist_data"
 go run ./cmd/datagen -kind tpch -scale 0.05 -dup 0.4 -seed 7 -out "$dist_data"
 go build -o /tmp/dcer_ci_dmatch ./cmd/dmatch
+# Gamma's CSV is canonical: the sequential Match (w=1) and DMatch (w=2)
+# write the same bytes. At scale 0.7 the sequential engine holds some
+# class members out of id order, so the diff sees the canonical sort.
+canon_data=/tmp/dcer_ci_canon_data
+rm -rf "$canon_data"
+go run ./cmd/datagen -kind tpch -scale 0.7 -dup 0.3 -seed 7 -out "$canon_data"
+/tmp/dcer_ci_dmatch -data "$canon_data" -rules "$canon_data/rules.mrl" -workers 1 -out /tmp/dcer_ci_w1.csv > /dev/null
+/tmp/dcer_ci_dmatch -data "$canon_data" -rules "$canon_data/rules.mrl" -workers 2 -out /tmp/dcer_ci_w2.csv > /dev/null
+diff /tmp/dcer_ci_w1.csv /tmp/dcer_ci_w2.csv
 /tmp/dcer_ci_dmatch -data "$dist_data" -rules "$dist_data/rules.mrl" -workers 2 -out /tmp/dcer_ci_inproc.csv > /dev/null
 /tmp/dcer_ci_dmatch -data "$dist_data" -rules "$dist_data/rules.mrl" -workers 2 -distributed -out /tmp/dcer_ci_dist.csv > /dev/null
 diff /tmp/dcer_ci_inproc.csv /tmp/dcer_ci_dist.csv
@@ -113,7 +122,7 @@ wait "$smoke_pid" || true
 
 echo "== causal-trace race guard (trace model, wide events, DMatch lane attribution under the race detector)"
 go test -race -short -count=1 \
-    -run 'TestParallelTraceCausality|TestSpanLabelCopy|TestTraceContextCausality|TestWriteChromeTrace|TestServeDebugTrace|TestLoggerWide' \
+    -run 'TestParallelTraceCausality|TestDistributedTraceSpans|TestSpanLabelCopy|TestTraceContextCausality|TestWriteChromeTrace|TestServeDebugTrace|TestLoggerWide' \
     ./internal/telemetry ./internal/dmatch
 
 echo "== bench-regression gate (fresh Deduce/IncDeduce arms vs BENCH_9 via benchdiff, threshold 10%)"

@@ -198,11 +198,10 @@ func BenchmarkParallelDMatch(b *testing.B) {
 	}
 }
 
-// BenchmarkHyPart measures partitioning alone: the MQO-sharing ablation,
-// the seed-era reference partitioner, and the packed-key rewrite at 1 and
-// 8 shards. Before any timing it asserts the sharded pass is byte-
-// identical to the sequential one (the tentpole equivalence guard CI runs
-// as a bench smoke).
+// BenchmarkHyPart measures partitioning alone: the MQO-sharing ablation
+// and the partition pass at 1 and 8 shards. Before any timing it asserts
+// the sharded pass is byte-identical to the sequential one (the
+// equivalence guard CI runs as a bench smoke).
 func BenchmarkHyPart(b *testing.B) {
 	g, rules := tpchFixture(b, 0.2)
 	seq, err := hypart.Partition(g.D, rules, 16, hypart.Options{Share: true, Shards: 1})
@@ -230,13 +229,6 @@ func BenchmarkHyPart(b *testing.B) {
 			}
 		})
 	}
-	b.Run("reference", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, err := hypart.PartitionReference(g.D, rules, 16, hypart.Options{Share: true}); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
 	for _, shards := range []int{1, 8} {
 		b.Run("shards="+itoa(shards), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {

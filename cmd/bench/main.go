@@ -906,12 +906,9 @@ func runIncDeduceArms(p *pass, g *datagen.Generated, rules []*dcer.Rule, reg *ml
 		p.entries = append(p.entries, toEntry("MLCache/featurestore", rFS))
 	}
 
-	// Partition arms: the seed-era string-keyed reference partitioner vs
-	// the packed-key rewrite on its sequential path and at 8 shards. The
-	// equivalence check runs before any timing: the sharded pass must be
-	// byte-identical to the sequential one (the reference differs only in
-	// its LPT tie-break, so it is compared by its invariants in the
-	// hypart tests, not here).
+	// Partition arms: the partition pass on its sequential path and at 8
+	// shards. The equivalence check runs before any timing: the sharded
+	// pass must be byte-identical to the sequential one.
 	if armOn("Partition") {
 		seqPart, err := hypart.Partition(g.D, rules, workers, hypart.Options{Share: true, Shards: 1})
 		if err != nil {
@@ -929,9 +926,6 @@ func runIncDeduceArms(p *pass, g *datagen.Generated, rules []*dcer.Rule, reg *ml
 			name string
 			run  func() (*hypart.Result, error)
 		}{
-			{"Partition/reference", func() (*hypart.Result, error) {
-				return hypart.PartitionReference(g.D, rules, workers, hypart.Options{Share: true})
-			}},
 			{"Partition/shards=1", func() (*hypart.Result, error) {
 				return hypart.Partition(g.D, rules, workers, hypart.Options{Share: true, Shards: 1})
 			}},

@@ -11,6 +11,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"path/filepath"
 	"regexp"
@@ -270,22 +271,29 @@ func WriteTables(w io.Writer, reports []*Report) {
 	}
 }
 
-// Regression is one gated arm that slowed down beyond the threshold.
+// Regression is one gated arm that slowed down beyond the threshold, or
+// that the fresh report does not measure at all (Missing; DeltaPct is
+// then +Inf, so it sorts first).
 type Regression struct {
 	Arm      string
 	OldNs    int64
 	NewNs    int64
 	DeltaPct float64
+	Missing  bool
 }
 
 func (r Regression) String() string {
+	if r.Missing {
+		return fmt.Sprintf("%s: %s -> missing from the fresh report", r.Arm, fmtNs(r.OldNs))
+	}
 	return fmt.Sprintf("%s: %s -> %s (%+.1f%%)", r.Arm, fmtNs(r.OldNs), fmtNs(r.NewNs), r.DeltaPct)
 }
 
 // Gate compares the first and last report's ns/op for every arm matching
 // tier and returns the arms that regressed by more than thresholdPct.
-// Arms present in only one of the two reports are skipped — the gate
-// judges trajectories, not coverage.
+// A gated arm the first report measured but the last one does not is a
+// regression too: a gate that silently skips an arm that stopped being
+// measured gates nothing. Arms only the last report has are skipped.
 func Gate(reports []*Report, tier *regexp.Regexp, thresholdPct float64) []Regression {
 	if len(reports) < 2 {
 		return nil
@@ -297,7 +305,11 @@ func Gate(reports []*Report, tier *regexp.Regexp, thresholdPct float64) []Regres
 			continue
 		}
 		oa, na := oldR.arm(name), newR.arm(name)
-		if oa == nil || na == nil || oa.NsPerOp == 0 || na.NsPerOp == 0 {
+		if oa == nil || oa.NsPerOp == 0 {
+			continue
+		}
+		if na == nil || na.NsPerOp == 0 {
+			out = append(out, Regression{Arm: name, OldNs: oa.NsPerOp, DeltaPct: math.Inf(1), Missing: true})
 			continue
 		}
 		if d := pctDelta(oa.NsPerOp, na.NsPerOp); d > thresholdPct {

@@ -159,6 +159,32 @@ func TestGate(t *testing.T) {
 	}
 }
 
+// TestGateMissingArm: a gated arm the anchor measured but the fresh
+// report lacks fails the gate, whatever the threshold; an ungated arm
+// missing from the fresh report does not.
+func TestGateMissingArm(t *testing.T) {
+	dir := t.TempDir()
+	oldR := writeReport(t, dir, "BENCH_6.json", oldJSON)
+	fresh := writeReport(t, dir, "BENCH_7.json", `{
+  "goos": "linux", "goarch": "amd64", "gomaxprocs": 1, "scale": 2,
+  "benchmarks": [
+    {"name": "Deduce/sequential", "ns_per_op": 90000000, "bytes_per_op": 4096, "allocs_per_op": 10}
+  ]
+}`)
+	reports := []*Report{oldR, fresh}
+	regs := Gate(reports, regexp.MustCompile(`^(Deduce|IncDeduce)/`), 1000)
+	if len(regs) != 1 || regs[0].Arm != "Deduce/parallel" || !regs[0].Missing {
+		t.Fatalf("Gate = %v, want Deduce/parallel reported missing", regs)
+	}
+	if s := regs[0].String(); !strings.Contains(s, "missing") {
+		t.Errorf("Regression.String() = %q, want it to say the arm is missing", s)
+	}
+	// Partition/w8 is missing too, but outside the tier.
+	if regs := Gate(reports, regexp.MustCompile(`^Deduce/sequential$`), 0); len(regs) != 0 {
+		t.Errorf("Gate(Deduce/sequential) = %v, want none", regs)
+	}
+}
+
 // TestGateRepoTrajectory runs the gate over the repo's real BENCH
 // trajectory when the files are present — the same invocation ci.sh
 // makes, proving the lowered-threshold exit path against real data.

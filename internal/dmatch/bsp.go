@@ -33,9 +33,9 @@ type worker interface {
 	stats() chase.Stats
 }
 
-// connectFunc creates a run's n workers once HyPart has partitioned the
-// dataset; idSpace sizes every engine and rtc is the run's root trace
-// context.
+// connectFunc creates a run's n workers. drive calls it on its own
+// goroutine while HyPart partitions the dataset; idSpace sizes every
+// engine and rtc is the run's root trace context.
 type connectFunc func(idSpace int, rtc telemetry.TraceContext) ([]worker, error)
 
 // RecoveryEvent describes one worker-failure recovery.
@@ -90,14 +90,15 @@ func recoverAssign(blocks []hypart.Block, assign []int, dead map[int]bool, alive
 }
 
 // drive is the one BSP superstep loop behind Run and RunDistributed: it
-// partitions d with HyPart, connects n workers, hands each its fragment,
-// and runs supersteps until no live worker has an inbox or a pending
-// rebuild. Each superstep steps every live worker (concurrently unless
-// opts.Sequential), folds the deltas into the global Γ in worker-index
-// order, and routes the new facts. A worker whose step fails is dead: its
-// blocks move to the survivors (recoverAssign), the survivors that gained
-// blocks are rebuilt, and each replays the fact history (replayFor) —
-// facts are idempotent and the fixpoint is unique, so Γ is unchanged.
+// partitions d with HyPart while it connects n workers, hands every
+// worker its fragment at once, and runs supersteps until no live worker
+// has an inbox or a pending rebuild. Each superstep steps every live
+// worker (concurrently unless opts.Sequential), folds the deltas into
+// the global Γ in worker-index order, and routes the new facts. A
+// worker whose step fails is dead: its blocks move to the survivors
+// (recoverAssign), the survivors that gained blocks are rebuilt, and each
+// replays the fact history (replayFor) — facts are idempotent and the
+// fixpoint is unique, so Γ is unchanged.
 // provLogs are the in-process workers' provenance logs (nil when off); ws
 // is the wire tally of a distributed run (nil in-process).
 func drive(d *relation.Dataset, rules []*rule.Rule, n int, opts Options,
@@ -110,6 +111,20 @@ func drive(d *relation.Dataset, rules []*rule.Rule, n int, opts Options,
 	defer runSpan.End()
 	rtc := runSpan.Context()
 
+	// Worker start-up (spawn, accept and handshake, for worker processes)
+	// needs only the id space, so it runs while HyPart partitions. The
+	// connect goroutine is always waited for, on every path, before
+	// drive returns.
+	ms := newMasterState(d, n)
+	type connection struct {
+		workers []worker
+		err     error
+	}
+	connected := make(chan connection, 1)
+	go func() {
+		workers, err := connect(ms.idSpace, rtc)
+		connected <- connection{workers, err}
+	}()
 	t0 := time.Now()
 	part, err := hypart.Partition(d, rules, n, hypart.Options{
 		Share:          !opts.NoMQO,
@@ -117,18 +132,55 @@ func drive(d *relation.Dataset, rules []*rule.Rule, n int, opts Options,
 		Metrics:        opts.Metrics,
 		Trace:          rtc,
 	})
+	partTime := time.Since(t0)
+	conn := <-connected
 	if err != nil {
 		return nil, err
 	}
-	res := &Result{PartitionStats: part.Stats, PartitionTime: time.Since(t0), d: d}
-	ms := newMasterState(d, n)
-	workers, err := connect(ms.idSpace, rtc)
-	if err != nil {
-		return nil, err
+	if conn.err != nil {
+		return nil, conn.err
 	}
+	res := &Result{PartitionStats: part.Stats, PartitionTime: partTime, d: d}
+	workers := conn.workers
+
+	// Membership: alive workers are stepped; fresh ones were just
+	// (re)assigned and must run their full Deduce even with an empty
+	// inbox; dead ones await recovery after the current superstep.
+	alive := make([]bool, n)
+	fresh := make([]bool, n)
+	for i := range alive {
+		alive[i], fresh[i] = true, true
+	}
+	// each runs f(i) for every live worker: one goroutine per worker, or
+	// in index order under opts.Sequential.
+	each := func(f func(i int)) {
+		var wg sync.WaitGroup
+		for i := range workers {
+			if !alive[i] {
+				continue
+			}
+			if opts.Sequential {
+				f(i)
+				continue
+			}
+			wg.Add(1)
+			go func(i int) {
+				defer wg.Done()
+				f(i)
+			}(i)
+		}
+		wg.Wait()
+	}
+
+	// The first assignment builds every worker's engine (or ships every
+	// fragment) concurrently.
 	ms.setHosts(part.Fragments)
-	for i, w := range workers {
-		if err := w.assign(part.Fragments[i], part.RuleFragments[i], nil); err != nil {
+	assignErrs := make([]error, n)
+	each(func(i int) {
+		assignErrs[i] = workers[i].assign(part.Fragments[i], part.RuleFragments[i], nil)
+	})
+	for _, err := range assignErrs {
+		if err != nil {
 			return nil, err
 		}
 	}
@@ -179,14 +231,6 @@ func drive(d *relation.Dataset, rules []*rule.Rule, n int, opts Options,
 	gufCheck := opts.Health.Check("global_unionfind")
 	accSeen := 0
 
-	// Membership: alive workers are stepped; fresh ones were just
-	// (re)assigned and must run their full Deduce even with an empty
-	// inbox; dead ones await recovery after the current superstep.
-	alive := make([]bool, n)
-	fresh := make([]bool, n)
-	for i := range alive {
-		alive[i], fresh[i] = true, true
-	}
 	aliveCount := n
 	var dead []int
 	markDead := func(w int, cause error) error {
@@ -206,27 +250,6 @@ func drive(d *relation.Dataset, rules []*rule.Rule, n int, opts Options,
 	stepErrs := make([]error, n)
 	msgsIn := make([]int, n)
 	factsOut := make([]int, n)
-	// each runs f(i) for every live worker: one goroutine per worker, or
-	// in index order under opts.Sequential.
-	each := func(f func(i int)) {
-		var wg sync.WaitGroup
-		for i := range workers {
-			if !alive[i] {
-				continue
-			}
-			if opts.Sequential {
-				f(i)
-				continue
-			}
-			wg.Add(1)
-			go func(i int) {
-				defer wg.Done()
-				f(i)
-			}(i)
-		}
-		wg.Wait()
-	}
-
 	for step := 0; ; step++ {
 		dhb.Beat()
 		stepWall := time.Now()

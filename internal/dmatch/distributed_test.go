@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"os"
 	"os/exec"
+	"runtime"
 	"sort"
 	"strconv"
 	"strings"
@@ -215,6 +216,87 @@ func TestDistributedFingerprintMismatch(t *testing.T) {
 	}
 	if !strings.Contains(err.Error(), "fingerprint") && !strings.Contains(err.Error(), "handshake") {
 		t.Fatalf("unexpected error: %v", err)
+	}
+}
+
+// TestDistributedStartupErrors covers both ways a distributed run can
+// fail while worker start-up overlaps HyPart: a handshake error (the
+// master's dataset differs from the one every worker loaded) while
+// Partition succeeds, and a Partition error (unresolved rules) while
+// every worker connects. Either must fail the run; afterwards every
+// spawned worker — goroutine, or OS process outside -short — must have
+// ended, and no goroutine of the run may be left behind.
+func TestDistributedStartupErrors(t *testing.T) {
+	g, _ := tpchWorkload(t)
+	other := datagen.TPCH(datagen.TPCHOptions{Scale: 0.02, Dup: 0.4, Seed: 7})
+	otherRules, err := other.Rules()
+	if err != nil {
+		t.Fatal(err)
+	}
+	unresolved, err := rule.Parse(g.RulesText)
+	if err != nil {
+		t.Fatal(err)
+	}
+	exe, _ := os.Executable()
+	cases := []struct {
+		name  string
+		d     *datagen.Generated
+		rules []*rule.Rule
+		want  string
+	}{
+		{"handshake", other, otherRules, "handshake"},
+		{"partition", g, unresolved, "resolved"},
+	}
+	for _, c := range cases {
+		for _, procs := range []bool{false, true} {
+			if procs && (testing.Short() || exe == "") {
+				continue
+			}
+			t.Run(fmt.Sprintf("%s/processes=%v", c.name, procs), func(t *testing.T) {
+				base := runtime.NumGoroutine()
+				errs := make(chan error, 2)
+				var cmds []*exec.Cmd
+				spawn := spawnLocalWorkers(t, nil, errs)
+				if procs {
+					spawn = func(worker int, addr string) error {
+						cmd := exec.Command(exe, "-test.run", "TestDistributedWorkerHelper")
+						cmd.Env = append(os.Environ(),
+							"DMATCH_WORKER_HELPER=1",
+							"DMATCH_ADDR="+addr,
+							"DMATCH_WORKER_ID="+strconv.Itoa(worker))
+						if err := cmd.Start(); err != nil {
+							return err
+						}
+						cmds = append(cmds, cmd)
+						go func() { errs <- cmd.Wait() }()
+						return nil
+					}
+				}
+				_, err := dmatch.RunDistributed(c.d.D, c.rules, mlpred.DefaultRegistry(),
+					dmatch.Options{Workers: 2},
+					dmatch.DistOptions{Spawn: spawn, AcceptTimeout: 10 * time.Second})
+				if err == nil || !strings.Contains(err.Error(), c.want) {
+					t.Fatalf("run error %v, want one mentioning %q", err, c.want)
+				}
+				for i := 0; i < 2; i++ {
+					select {
+					case <-errs:
+					case <-time.After(20 * time.Second):
+						for _, cmd := range cmds {
+							cmd.Process.Kill()
+						}
+						t.Fatalf("worker %d of 2 still running after the run failed", i+1)
+					}
+				}
+				deadline := time.Now().Add(5 * time.Second)
+				for runtime.NumGoroutine() > base {
+					if time.Now().After(deadline) {
+						t.Fatalf("%d goroutines left after the run, %d before", runtime.NumGoroutine(), base)
+					}
+					time.Sleep(10 * time.Millisecond)
+				}
+			})
+		}
 	}
 }
 

@@ -8,8 +8,14 @@
 //
 // DMatch is parallelly scalable relative to Match (Theorem 7): work is
 // evenly spread by HyPart's virtual blocks + LPT balancing, and the total
-// incremental work is bounded by the number of facts, so runtime shrinks
-// proportionally as workers are added.
+// incremental work is bounded by the number of facts, so in the model
+// runtime shrinks proportionally as workers are added. Measured, it does
+// not yet: on the benchmark's tpch-par2 workload (TPC-H scale 0.5, two
+// workers, 2-CPU host) the speedup over sequential Match is 0.49 (0.27
+// before HyPart's flat partition pass), against a
+// hypart.speedup_ceiling of 1.02 — HyPart copies each tuple about four
+// times and leaves each worker nearly the whole dataset. Bounding that
+// replication is ROADMAP item 2.
 //
 // One superstep loop (bsp.go) drives both execution modes through a small
 // worker interface: Run plugs in-process chase engines into it, and

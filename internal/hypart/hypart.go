@@ -10,15 +10,17 @@
 // D ⊨ Σ (and chasing) can be done locally, with only deduced matches and
 // validated ML predictions exchanged between workers.
 //
-// Partition itself is parallel: the (rule, variable) tuple scans are
-// sharded over Options.Shards goroutines, each feeding a private block
-// accumulator keyed by packed-uint64 block fingerprints, and the
-// accumulators are merged commutatively and ordered canonically — the
-// output is byte-identical for every shard count (the snapshot-
-// enumerate-merge discipline of internal/chase applied to partitioning).
+// Partition itself is parallel and flat: columns are hashed once each,
+// every rule's hypercube is compiled into a table of cells carrying
+// global block ids before any tuple is read, the (rule, variable) scans
+// are sharded over Options.Shards goroutines that append GIDs to private
+// per-block runs, and reusable bitsets turn those runs into sorted,
+// unique member lists. The output is byte-identical for every shard
+// count and schedule.
 package hypart
 
 import (
+	"encoding/binary"
 	"fmt"
 	"math/bits"
 	"runtime"
@@ -27,7 +29,6 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"dcer/internal/fnv"
 	"dcer/internal/mqo"
 	"dcer/internal/relation"
 	"dcer/internal/rule"
@@ -50,10 +51,10 @@ type Options struct {
 	// communication-optimal factor for a ρ-wide join is n^(1-1/ρ)), so
 	// the default grows with the worker count: max(4, n/2).
 	ReplicationCap int
-	// Shards is the number of goroutines the tuple scans fan out over;
-	// 0 means GOMAXPROCS, 1 forces the single-threaded path. The output
-	// is byte-identical for every value (merge is commutative and the
-	// final block order canonical).
+	// Shards is the number of goroutines each phase of the pass (column
+	// hashing, tuple scans, block extraction) fans out over; 0 means
+	// GOMAXPROCS, 1 runs those phases on the calling goroutine. The
+	// output is byte-identical for every value.
 	Shards int
 	// Metrics, when non-nil, receives the partition shape as histograms:
 	// dcer_hypart_fragment_size (tuples per worker fragment, one
@@ -61,9 +62,9 @@ type Options struct {
 	// non-empty virtual block). Nil disables with no overhead.
 	Metrics *telemetry.Registry
 	// Trace parents the partition's causal spans: a hypart.Partition
-	// root, one hypart.shard.scan span per scan goroutine (each on its
-	// own shard lane), and the hypart.merge/hypart.assign spans of the
-	// sequential tail. The zero value disables capture; when Metrics is
+	// root with a hypart.hash span, one hypart.shard.scan span per scan
+	// goroutine (each on its own shard lane), then hypart.extract and
+	// hypart.assign. The zero value disables capture; when Metrics is
 	// set and Trace is not, a root is derived from the registry's tracer.
 	Trace telemetry.TraceContext
 }
@@ -164,44 +165,6 @@ func packDim(fn, size, coord int) uint64 {
 	return uint64(fn)<<40 | uint64(size)<<20 | uint64(coord)
 }
 
-// blockAcc accumulates one virtual block inside a shard (and, after the
-// merge, globally): identity, member set, and the rules that emitted it.
-type blockAcc struct {
-	canon []uint64
-	gids  map[relation.TID]struct{}
-	rules []uint64 // bitset over rule indices
-}
-
-// shardAcc is one goroutine's private accumulator: blocks keyed by the
-// FNV fingerprint of the canonical key, fingerprint collisions resolved
-// by comparing the canonical keys themselves (the scopeKey/sameIDs
-// discipline — a collision costs a chain walk, never a wrong block).
-type shardAcc struct {
-	blocks    map[uint64][]*blockAcc
-	generated int64
-	ruleWords int
-	key       []uint64 // per-emit scratch
-}
-
-func newShardAcc(numRules int) *shardAcc {
-	return &shardAcc{
-		blocks:    make(map[uint64][]*blockAcc),
-		ruleWords: (numRules + 63) / 64,
-	}
-}
-
-func canonEqual(a, b []uint64) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
-}
-
 // canonLess orders canonical keys: shorter first, then elementwise.
 func canonLess(a, b []uint64) bool {
 	if len(a) != len(b) {
@@ -215,100 +178,142 @@ func canonLess(a, b []uint64) bool {
 	return false
 }
 
-// emit registers gid in the block identified by dims/coord for rule ri.
-func (sa *shardAcc) emit(dims []dim, coord []int, ri int, gid relation.TID) {
-	sa.generated++
-	key := sa.key[:0]
-	for i := range dims {
-		key = append(key, packDim(dims[i].fn, dims[i].size, coord[i]))
-	}
-	// Insertion sort: keys are tiny (one element per rule dimension).
-	for i := 1; i < len(key); i++ {
-		for j := i; j > 0 && key[j] < key[j-1]; j-- {
-			key[j], key[j-1] = key[j-1], key[j]
-		}
-	}
-	sa.key = key
-	h := uint64(fnv.Offset64)
-	for _, k := range key {
-		h = fnv.Uint64(h, k)
-	}
-	var acc *blockAcc
-	for _, cand := range sa.blocks[h] {
-		if canonEqual(cand.canon, key) {
-			acc = cand
-			break
-		}
-	}
-	if acc == nil {
-		acc = &blockAcc{
-			canon: append([]uint64(nil), key...),
-			gids:  make(map[relation.TID]struct{}),
-			rules: make([]uint64, sa.ruleWords),
-		}
-		sa.blocks[h] = append(sa.blocks[h], acc)
-	}
-	acc.gids[gid] = struct{}{}
-	acc.rules[ri>>6] |= 1 << (uint(ri) & 63)
+// cellTable is one rule's hypercube, compiled before the scan: its
+// dimensions, each dimension's stride in the flat cell index
+// Σ coord·stride, and the global block of every cell. Cells of different
+// rules with the same canonical key map to the same block, so MQO block
+// sharing is settled here, once, instead of per emitted copy.
+type cellTable struct {
+	dims    []dim
+	strides []int
+	blocks  []int32 // cell -> block id; ids follow canonical key order
+	hitBase int     // offset of this rule's cells in a shard's hit table
 }
 
-// emitBroadcast enumerates the broadcast combinations of coord and emits
-// the tuple into each resulting block. Block keys embed (fn, extent,
-// bucket) per dimension, so rules sharing all hash functions and extents
-// share blocks — the tuple-copy dedup that MQO sharing buys.
-func (sa *shardAcc) emitBroadcast(dims []dim, coord []int, bcast []int, bi, ri int, gid relation.TID) {
-	if bi == len(bcast) {
-		sa.emit(dims, coord, ri, gid)
-		return
-	}
-	di := bcast[bi]
-	for b := 0; b < dims[di].size; b++ {
-		coord[di] = b
-		sa.emitBroadcast(dims, coord, bcast, bi+1, ri, gid)
-	}
-}
-
-// merge folds other into sa. Union is commutative, so the merged content
-// is independent of shard scheduling.
-func (sa *shardAcc) merge(other *shardAcc) {
-	sa.generated += other.generated
-	for h, chain := range other.blocks {
-		for _, in := range chain {
-			var acc *blockAcc
-			for _, cand := range sa.blocks[h] {
-				if canonEqual(cand.canon, in.canon) {
-					acc = cand
-					break
+// compileCells builds every rule's cell table and returns, per block id,
+// the canonical key. Block ids are numbered in canonical key order, so
+// the non-empty blocks in id order are already in the Result's order.
+// The work is per cell (at most VirtualBlocks per rule), never per tuple.
+func compileCells(ruleDims [][]dim) (tables []cellTable, canons [][]uint64, totalCells int) {
+	tables = make([]cellTable, len(ruleDims))
+	index := make(map[string]int32) // canonical key bytes -> provisional id
+	var keyBytes []byte
+	for ri, dims := range ruleDims {
+		ct := cellTable{dims: dims, strides: make([]int, len(dims)), hitBase: totalCells}
+		cells := 1
+		for d := range dims {
+			ct.strides[d] = cells
+			cells *= dims[d].size
+		}
+		ct.blocks = make([]int32, cells)
+		key := make([]uint64, len(dims))
+		for c := range ct.blocks {
+			for d := range dims {
+				key[d] = packDim(dims[d].fn, dims[d].size, c/ct.strides[d]%dims[d].size)
+			}
+			// Insertion sort: keys are tiny (one element per dimension).
+			for i := 1; i < len(key); i++ {
+				for j := i; j > 0 && key[j] < key[j-1]; j-- {
+					key[j], key[j-1] = key[j-1], key[j]
 				}
 			}
-			if acc == nil {
-				sa.blocks[h] = append(sa.blocks[h], in)
-				continue
+			keyBytes = keyBytes[:0]
+			for _, k := range key {
+				keyBytes = binary.LittleEndian.AppendUint64(keyBytes, k)
 			}
-			if len(acc.gids) < len(in.gids) {
-				acc.gids, in.gids = in.gids, acc.gids
+			id, ok := index[string(keyBytes)]
+			if !ok {
+				id = int32(len(canons))
+				index[string(keyBytes)] = id
+				canons = append(canons, append([]uint64(nil), key...))
 			}
-			for gid := range in.gids {
-				acc.gids[gid] = struct{}{}
-			}
-			for i, w := range in.rules {
-				acc.rules[i] |= w
-			}
+			ct.blocks[c] = id
+		}
+		totalCells += cells
+		tables[ri] = ct
+	}
+	order := make([]int32, len(canons))
+	for i := range order {
+		order[i] = int32(i)
+	}
+	sort.Slice(order, func(i, j int) bool { return canonLess(canons[order[i]], canons[order[j]]) })
+	rank := make([]int32, len(canons))
+	sorted := make([][]uint64, len(canons))
+	for r, id := range order {
+		rank[id] = int32(r)
+		sorted[r] = canons[id]
+	}
+	for ri := range tables {
+		for c, id := range tables[ri].blocks {
+			tables[ri].blocks[c] = rank[id]
 		}
 	}
+	return tables, sorted, totalCells
 }
 
-// varScan is the per-(rule, variable) scan preparation shared by every
-// shard: the rule's dimensions, which of them hash this variable (and on
-// which attribute), which are broadcast, and the base coordinates.
+// column is one distinct (relation, attribute) column of one hash
+// function: every scan that hashes it reads the one hash array.
+type column struct {
+	rel  *relation.Relation
+	attr int
+	hash []uint32 // hash of rel.Tuples[i]'s attribute
+}
+
+// hashedDim is a scan's hashed dimension with extent > 1. Extents are
+// powers of two (buildDims only doubles), so hash % size is hash & mask.
+type hashedDim struct {
+	hash   []uint32
+	mask   uint32
+	stride int
+}
+
+// varScan is one (rule, variable) scan: the rule's cell table, the
+// variable's relation, its hashed dimensions, and the cell offsets of
+// every broadcast combination (Σ b·stride over the dimensions the
+// variable does not hash).
 type varScan struct {
-	ri     int
-	dims   []dim
-	rel    *relation.Relation
-	hashed []int
-	attrs  []int // attribute per hashed dim
-	bcast  []int
-	base   []int // -1 for open dims, 0 for extent-1 dims
+	ct      *cellTable
+	tuples  []*relation.Tuple
+	hashed  []hashedDim
+	offsets []int
+}
+
+// scanShard is one scan goroutine's output: the GIDs it emitted,
+// duplicates included, grouped by block — block b's are
+// gids[end[b]-count[b]:end[b]] — and which rule cells it emitted into.
+type scanShard struct {
+	count []int // copies per block id
+	end   []int // per block id: fill cursor, then end of its run
+	gids  []relation.TID
+	hit   []bool // by cellTable.hitBase + cell
+}
+
+// scan runs one unit: Σ coord·stride locates each tuple's cell, each
+// broadcast offset one copy. Without fill it counts copies per block and
+// marks hit cells; with fill it writes each copy's GID at its block's
+// cursor, which must start where the counts put it.
+func (sh *scanShard) scan(u unit, fill bool) {
+	sc := u.scan
+	blocks, hit := sc.ct.blocks, sh.hit[sc.ct.hitBase:]
+	for i := u.lo; i < u.hi; i++ {
+		cell := 0
+		for _, hd := range sc.hashed {
+			cell += int(hd.hash[i]&hd.mask) * hd.stride
+		}
+		if !fill {
+			for _, off := range sc.offsets {
+				sh.count[blocks[cell+off]]++
+				hit[cell+off] = true
+			}
+			continue
+		}
+		gid := sc.tuples[i].GID
+		for _, off := range sc.offsets {
+			b := blocks[cell+off]
+			sh.gids[sh.end[b]] = gid
+			sh.end[b]++
+		}
+	}
 }
 
 // unit is one shard work item: a tuple range of one varScan.
@@ -321,7 +326,90 @@ type unit struct {
 // across shards while the unit list stays short.
 const unitChunk = 2048
 
+// idSet turns GID lists with duplicates into sorted unique lists through
+// a bitset over the id space: no map, no sort. One idSet is reused for
+// every list its goroutine extracts; take leaves it empty again.
+type idSet struct {
+	words  []uint64
+	lo, hi int // touched word range; lo > hi when empty
+	n      int // distinct ids added since the last take
+}
+
+func newIDSet(space int) *idSet {
+	words := (space + 63) / 64
+	return &idSet{words: make([]uint64, words), lo: words, hi: -1}
+}
+
+func (s *idSet) add(ids []relation.TID) {
+	for _, id := range ids {
+		w, bit := int(id)>>6, uint64(1)<<(uint(id)&63)
+		if s.words[w]&bit == 0 {
+			s.words[w] |= bit
+			s.n++
+			s.lo, s.hi = min(s.lo, w), max(s.hi, w)
+		}
+	}
+}
+
+// take returns the added ids in ascending order (a non-nil slice, empty
+// when nothing was added) and clears the set.
+func (s *idSet) take() []relation.TID {
+	out := make([]relation.TID, 0, s.n)
+	for w := s.lo; w <= s.hi; w++ {
+		for word := s.words[w]; word != 0; word &= word - 1 {
+			out = append(out, relation.TID(w<<6+bits.TrailingZeros64(word)))
+		}
+		s.words[w] = 0
+	}
+	s.lo, s.hi, s.n = len(s.words), -1, 0
+	return out
+}
+
+// fanOut runs body(g) for g in [0, goroutines) concurrently — inline when
+// there is only one — and waits for all of them. Bodies share work
+// through an atomic cursor (see claimer).
+func fanOut(goroutines int, body func(g int)) {
+	if goroutines <= 1 {
+		body(0)
+		return
+	}
+	var wg sync.WaitGroup
+	wg.Add(goroutines)
+	for g := 0; g < goroutines; g++ {
+		go func(g int) {
+			defer wg.Done()
+			body(g)
+		}(g)
+	}
+	wg.Wait()
+}
+
+// claimer hands out the indexes 0..n-1 once each, across goroutines; it
+// returns -1 when they are exhausted.
+func claimer(n int) func() int {
+	var next atomic.Int64
+	return func() int {
+		if i := int(next.Add(1)) - 1; i < n {
+			return i
+		}
+		return -1
+	}
+}
+
 // Partition splits dataset d into n fragments for the rule set Σ.
+//
+// The pass has four phases, none doing a lock, map operation, sort or
+// allocation per tuple copy; the first three fan out over Options.Shards
+// goroutines, the fourth over the workers. (1) Every distinct (hash
+// function, relation, attribute) column is hashed once into an array;
+// each hash function's memo belongs to one goroutine. (2) Each rule's
+// hypercube is compiled into a cell table whose cells carry global block
+// ids (compileCells), so a scan computes a tuple's cell as Σ coord·stride,
+// adds each broadcast offset, and writes the GID into its goroutine's run
+// for that block. (3) Each block's sorted, unique members are extracted
+// through one reusable bitset. (4) LPT places the blocks and
+// BuildFragments unions them per worker and per (worker, rule) the same
+// way. The output does not depend on the shard count or the schedule.
 func Partition(d *relation.Dataset, rules []*rule.Rule, n int, opts Options) (*Result, error) {
 	if n < 1 {
 		return nil, errWorkers(n)
@@ -354,151 +442,148 @@ func Partition(d *relation.Dataset, rules []*rule.Rule, n int, opts Options) (*R
 	for i, rel := range d.Relations {
 		relSizes[i] = len(rel.Tuples)
 	}
-
-	// Prepare the per-(rule, variable) scans and chunk them into units.
-	var scans []*varScan
+	ruleDims := make([][]dim, len(plan.Assignments))
 	for ri, ra := range plan.Assignments {
-		dims := buildDims(ra, vb, repCap, relSizes)
-		for vi, v := range ra.Rule.Vars {
-			sc := &varScan{ri: ri, dims: dims, rel: d.Relations[v.RelIdx], base: make([]int, len(dims))}
-			for di := range dims {
-				sc.base[di] = -1
-				if dims[di].size == 1 {
-					sc.base[di] = 0
-				}
-				if attr, ok := dims[di].dv.AttrOf(vi); ok {
-					sc.hashed = append(sc.hashed, di)
-					sc.attrs = append(sc.attrs, attr)
-				} else if dims[di].size > 1 {
-					sc.bcast = append(sc.bcast, di)
-				}
-			}
-			scans = append(scans, sc)
-		}
+		ruleDims[ri] = buildDims(ra, vb, repCap, relSizes)
 	}
-	var units []unit
-	for _, sc := range scans {
-		for lo := 0; lo < len(sc.rel.Tuples); lo += unitChunk {
-			hi := lo + unitChunk
-			if hi > len(sc.rel.Tuples) {
-				hi = len(sc.rel.Tuples)
-			}
-			units = append(units, unit{sc, lo, hi})
-		}
-	}
+	tables, canons, totalCells := compileCells(ruleDims)
 
+	// Prepare the per-(rule, variable) scans, chunked into work units,
+	// and the distinct columns they hash, grouped by hash function.
+	var units []unit
+	fnCols := make([][]*column, plan.NumHashFns)
+	colOf := func(fn int, rel *relation.Relation, attr int) *column {
+		for _, c := range fnCols[fn] {
+			if c.rel == rel && c.attr == attr {
+				return c
+			}
+		}
+		c := &column{rel: rel, attr: attr, hash: make([]uint32, len(rel.Tuples))}
+		fnCols[fn] = append(fnCols[fn], c)
+		return c
+	}
+	for ri, ra := range plan.Assignments {
+		ct := &tables[ri]
+		for vi, v := range ra.Rule.Vars {
+			rel := d.Relations[v.RelIdx]
+			sc := &varScan{ct: ct, tuples: rel.Tuples, offsets: []int{0}}
+			for di, dm := range ct.dims {
+				if attr, ok := dm.dv.AttrOf(vi); ok {
+					col := colOf(dm.fn, rel, attr)
+					res.Stats.HashLookups += int64(len(rel.Tuples))
+					if dm.size > 1 {
+						sc.hashed = append(sc.hashed, hashedDim{col.hash, uint32(dm.size - 1), ct.strides[di]})
+					}
+				} else if dm.size > 1 {
+					var offs []int
+					for b := 0; b < dm.size; b++ {
+						for _, off := range sc.offsets {
+							offs = append(offs, off+b*ct.strides[di])
+						}
+					}
+					sc.offsets = offs
+				}
+			}
+			res.Stats.GeneratedTuples += int64(len(rel.Tuples) * len(sc.offsets))
+			for lo := 0; lo < len(sc.tuples); lo += unitChunk {
+				units = append(units, unit{sc, lo, min(lo+unitChunk, len(sc.tuples))})
+			}
+		}
+	}
 	shards := opts.Shards
 	if shards <= 0 {
 		shards = runtime.GOMAXPROCS(0)
 	}
-	if shards > len(units) {
-		shards = len(units)
-	}
-	if shards < 1 {
-		shards = 1
-	}
-	res.Stats.Shards = shards
+	res.Stats.Shards = max(1, min(shards, len(units)))
 
-	hasher := mqo.NewShardedHasher()
-	runShard := func(sa *shardAcc, take func() (unit, bool)) {
-		var coord []int
-		for {
-			u, ok := take()
-			if !ok {
-				return
-			}
-			sc := u.scan
-			coord = append(coord[:0], sc.base...)
-			for _, t := range sc.rel.Tuples[u.lo:u.hi] {
-				copy(coord, sc.base)
-				for hi, di := range sc.hashed {
-					coord[di] = int(hasher.Hash(sc.dims[di].fn, t.Val(sc.attrs[hi]))) % sc.dims[di].size
-				}
-				sa.emitBroadcast(sc.dims, coord, sc.bcast, 0, sc.ri, t.GID)
+	// Phase 1: hash every column, one hash function per work item.
+	hsp := ptc.Start("hypart.hash")
+	hashers := make([]mqo.WordHasher, max(1, min(shards, len(fnCols))))
+	nextFn := claimer(len(fnCols))
+	fanOut(len(hashers), func(g int) {
+		h := &hashers[g]
+		for fn := nextFn(); fn >= 0; fn = nextFn() {
+			h.Use(fn)
+			for _, c := range fnCols[fn] {
+				h.HashColumn(c.rel, c.attr, c.hash)
 			}
 		}
+	})
+	for g := range hashers {
+		res.Stats.HashComputations += hashers[g].Computations
 	}
+	hsp.End()
 
-	global := newShardAcc(len(rules))
-	if shards == 1 {
+	// Phase 2: scan, twice over the same units per goroutine: once to
+	// count each block's copies, once to write them into one exactly
+	// sized array, so the goroutine allocates nothing per copy.
+	out := make([]scanShard, res.Stats.Shards)
+	nextUnit := claimer(len(units))
+	fanOut(len(out), func(g int) {
 		var sp telemetry.Span
 		if ptc.Enabled() {
-			sp = ptc.Lane(telemetry.PIDHyPart, 1).Start("hypart.shard.scan")
+			// Each scan goroutine renders on its own shard lane.
+			sp = ptc.Lane(telemetry.PIDHyPart, int32(g+1)).Start("hypart.shard.scan")
 		}
-		i := 0
-		runShard(global, func() (unit, bool) {
-			if i >= len(units) {
-				return unit{}, false
-			}
-			i++
-			return units[i-1], true
-		})
+		sh := &out[g]
+		sh.count = make([]int, len(canons))
+		sh.hit = make([]bool, totalCells)
+		var mine []int
+		for ui := nextUnit(); ui >= 0; ui = nextUnit() {
+			mine = append(mine, ui)
+			sh.scan(units[ui], false)
+		}
+		sh.end = make([]int, len(canons))
+		total := 0
+		for b, c := range sh.count {
+			sh.end[b] = total
+			total += c
+		}
+		sh.gids = make([]relation.TID, total)
+		for _, ui := range mine {
+			sh.scan(units[ui], true)
+		}
 		sp.End()
-	} else {
-		accs := make([]*shardAcc, shards)
-		var cursor atomic.Int64
-		take := func() (unit, bool) {
-			i := int(cursor.Add(1)) - 1
-			if i >= len(units) {
-				return unit{}, false
-			}
-			return units[i], true
-		}
-		var wg sync.WaitGroup
-		for s := 0; s < shards; s++ {
-			accs[s] = newShardAcc(len(rules))
-			wg.Add(1)
-			go func(s int, sa *shardAcc) {
-				defer wg.Done()
-				var sp telemetry.Span
-				if ptc.Enabled() {
-					// Each scan goroutine renders on its own shard lane.
-					sp = ptc.Lane(telemetry.PIDHyPart, int32(s+1)).Start("hypart.shard.scan")
-				}
-				runShard(sa, take)
-				sp.End()
-			}(s, accs[s])
-		}
-		wg.Wait()
-		var msp telemetry.Span
-		if ptc.Enabled() {
-			msp = ptc.Start("hypart.merge", telemetry.L("shards", strconv.Itoa(shards)))
-		}
-		for _, sa := range accs {
-			global.merge(sa)
-		}
-		msp.End()
-	}
-	res.Stats.HashComputations, res.Stats.HashLookups = hasher.Counts()
-	res.Stats.GeneratedTuples = global.generated
+	})
 
-	var asp telemetry.Span
-	if ptc.Enabled() {
-		asp = ptc.Start("hypart.assign")
-		defer asp.End()
-	}
-	// Canonical block order: by key, so the result is independent of the
-	// shard count and scheduling.
-	var accs []*blockAcc
-	for _, chain := range global.blocks {
-		accs = append(accs, chain...)
-	}
-	sort.Slice(accs, func(i, j int) bool { return canonLess(accs[i].canon, accs[j].canon) })
-	res.Blocks = make([]Block, len(accs))
-	for bi, acc := range accs {
-		gids := make([]relation.TID, 0, len(acc.gids))
-		for gid := range acc.gids {
-			gids = append(gids, gid)
-		}
-		sort.Slice(gids, func(a, b int) bool { return gids[a] < gids[b] })
-		var ris []int
-		for w, word := range acc.rules {
-			for ; word != 0; word &= word - 1 {
-				ris = append(ris, w*64+bits.TrailingZeros64(word))
+	// Phase 3: a block exists when some rule emitted into one of its
+	// cells; those rules are its Rules (ascending, since ri ascends).
+	esp := ptc.Start("hypart.extract")
+	blockRules := make([][]int, len(canons))
+	for ri := range tables {
+		ct := &tables[ri]
+		for c, b := range ct.blocks {
+			for _, sh := range out {
+				if sh.hit[ct.hitBase+c] {
+					if rs := blockRules[b]; len(rs) == 0 || rs[len(rs)-1] != ri {
+						blockRules[b] = append(rs, ri)
+					}
+					break
+				}
 			}
 		}
-		res.Blocks[bi] = Block{Canon: acc.canon, GIDs: gids, Rules: ris}
-		res.Stats.PlacedTuples += int64(len(gids))
+	}
+	ids := make([]int32, 0, len(canons)) // block id of each Result block
+	for b, rs := range blockRules {
+		if len(rs) > 0 {
+			ids = append(ids, int32(b))
+		}
+	}
+	res.Blocks = make([]Block, len(ids))
+	space := idSpace(d)
+	nextBlock := claimer(len(ids))
+	fanOut(min(shards, len(ids)), func(int) {
+		set := newIDSet(space)
+		for i := nextBlock(); i >= 0; i = nextBlock() {
+			b := ids[i]
+			for _, sh := range out {
+				set.add(sh.gids[sh.end[b]-sh.count[b] : sh.end[b]])
+			}
+			res.Blocks[i] = Block{Canon: canons[b], GIDs: set.take(), Rules: blockRules[b]}
+		}
+	})
+	for i := range res.Blocks {
+		res.Stats.PlacedTuples += int64(len(res.Blocks[i].GIDs))
 	}
 	res.Stats.Blocks = len(res.Blocks)
 	if opts.Metrics != nil {
@@ -507,10 +592,13 @@ func Partition(d *relation.Dataset, rules []*rule.Rule, n int, opts Options) (*R
 			bh.Observe(uint64(len(res.Blocks[i].GIDs)))
 		}
 	}
+	esp.End()
 
-	// LPT minimum-makespan assignment of virtual blocks to workers, by
-	// block size (the static cost model; dmatch re-runs this over
-	// observed costs when a run shows skew).
+	// Phase 4: LPT minimum-makespan assignment of virtual blocks to
+	// workers by block size (the static cost model; crash recovery in
+	// dmatch moves a dead worker's blocks with the same greedy rule).
+	asp := ptc.Start("hypart.assign")
+	defer asp.End()
 	costs := make([]float64, len(res.Blocks))
 	for i := range res.Blocks {
 		costs[i] = float64(len(res.Blocks[i].GIDs))
@@ -522,15 +610,20 @@ func Partition(d *relation.Dataset, rules []*rule.Rule, n int, opts Options) (*R
 	res.Fragments, res.RuleFragments = BuildFragments(res.Blocks, assign, n, len(rules))
 	res.Stats.MinFragment = int(^uint(0) >> 1)
 	for i, ids := range res.Fragments {
-		if len(ids) > res.Stats.MaxFragment {
-			res.Stats.MaxFragment = len(ids)
-		}
-		if len(ids) < res.Stats.MinFragment {
-			res.Stats.MinFragment = len(ids)
-		}
+		res.Stats.MaxFragment = max(res.Stats.MaxFragment, len(ids))
+		res.Stats.MinFragment = min(res.Stats.MinFragment, len(ids))
 		opts.Metrics.Histogram("dcer_hypart_fragment_size").Observe(uint64(len(res.Fragments[i])))
 	}
 	return res, nil
+}
+
+// idSpace is one past the largest GID of d.
+func idSpace(d *relation.Dataset) int {
+	space := 0
+	for _, t := range d.Tuples() {
+		space = max(space, int(t.GID)+1)
+	}
+	return space
 }
 
 // assignLPT assigns blocks to n workers with the LPT minimum-makespan
@@ -562,47 +655,45 @@ func assignLPT(costs []float64, n int) []int {
 // BuildFragments materializes the per-worker fragments and per-rule rule
 // scopes implied by an assignment of blocks to workers: Fragments[i] is
 // the sorted union of worker i's blocks, RuleFragments[i][r] the sorted
-// union of its blocks generated for rule r.
+// union of its blocks generated for rule r. Every list is non-nil. The
+// unions go through one reusable bitset per goroutine (Block.GIDs are
+// sorted, so the last GID of each block bounds the id space), and the
+// workers are built concurrently.
 func BuildFragments(blocks []Block, assign []int, n, numRules int) ([][]relation.TID, [][][]relation.TID) {
-	fragSets := make([]map[relation.TID]struct{}, n)
-	ruleSets := make([][]map[relation.TID]struct{}, n)
-	for i := range fragSets {
-		fragSets[i] = make(map[relation.TID]struct{})
-		ruleSets[i] = make([]map[relation.TID]struct{}, numRules)
-	}
-	for bi := range blocks {
-		w := assign[bi]
-		for _, gid := range blocks[bi].GIDs {
-			fragSets[w][gid] = struct{}{}
+	space := 0
+	byWorker := make([][]int, n)
+	for b := range blocks {
+		if gids := blocks[b].GIDs; len(gids) > 0 {
+			space = max(space, int(gids[len(gids)-1])+1)
 		}
-		for _, ri := range blocks[bi].Rules {
-			set := ruleSets[w][ri]
-			if set == nil {
-				set = make(map[relation.TID]struct{})
-				ruleSets[w][ri] = set
-			}
-			for _, gid := range blocks[bi].GIDs {
-				set[gid] = struct{}{}
-			}
-		}
-	}
-	sortIDs := func(set map[relation.TID]struct{}) []relation.TID {
-		ids := make([]relation.TID, 0, len(set))
-		for gid := range set {
-			ids = append(ids, gid)
-		}
-		sort.Slice(ids, func(a, b int) bool { return ids[a] < ids[b] })
-		return ids
+		byWorker[assign[b]] = append(byWorker[assign[b]], b)
 	}
 	frags := make([][]relation.TID, n)
 	ruleFrags := make([][][]relation.TID, n)
-	for i := range fragSets {
-		frags[i] = sortIDs(fragSets[i])
-		ruleFrags[i] = make([][]relation.TID, numRules)
-		for ri, rset := range ruleSets[i] {
-			ruleFrags[i][ri] = sortIDs(rset)
+	nextWorker := claimer(n)
+	fanOut(min(n, runtime.GOMAXPROCS(0)), func(int) {
+		set := newIDSet(space)
+		byRule := make([][]int, numRules)
+		for w := nextWorker(); w >= 0; w = nextWorker() {
+			for ri := range byRule {
+				byRule[ri] = byRule[ri][:0]
+			}
+			for _, b := range byWorker[w] {
+				set.add(blocks[b].GIDs)
+				for _, ri := range blocks[b].Rules {
+					byRule[ri] = append(byRule[ri], b)
+				}
+			}
+			frags[w] = set.take()
+			ruleFrags[w] = make([][]relation.TID, numRules)
+			for ri, bs := range byRule {
+				for _, b := range bs {
+					set.add(blocks[b].GIDs)
+				}
+				ruleFrags[w][ri] = set.take()
+			}
 		}
-	}
+	})
 	return frags, ruleFrags
 }
 

@@ -12,13 +12,13 @@ import (
 
 // PartitionReference is the seed-era single-threaded partitioner, kept
 // verbatim (string block keys, per-emit key concatenation, map-of-maps
-// accumulation) as the baseline the BENCH_<n>.json Partition arms measure
-// the rewritten partitioner against, and as an independent oracle for the
-// invariants the rewrite must preserve: the same non-empty block count,
-// the same multiset of block sizes, and the same generated/placed tuple
-// totals. The LPT tie-break differs (string vs numeric key order), so
-// fragment contents are compared against Partition's own sequential path
-// instead (see TestPartitionParallelEquivalence).
+// accumulation, the value-keyed mqo.Hasher) as an independent oracle for
+// the invariants Partition must preserve: the same non-empty block count,
+// the same generated/placed tuple totals and the same hash counts. The
+// LPT tie-break differs (string vs numeric key order), so fragment
+// contents are compared against Partition's own sequential path instead
+// (see TestPartitionParallelEquivalence). It lives in test code: nothing
+// but the tests runs it.
 func PartitionReference(d *relation.Dataset, rules []*rule.Rule, n int, opts Options) (*Result, error) {
 	if n < 1 {
 		return nil, errWorkers(n)

@@ -13,8 +13,6 @@ import (
 	"sort"
 	"strconv"
 	"strings"
-	"sync"
-	"sync/atomic"
 
 	"dcer/internal/relation"
 	"dcer/internal/rule"
@@ -297,9 +295,8 @@ func (p *Plan) String() string {
 // Hasher evaluates hash functions over values with cross-rule memoization:
 // the same (function, value) pair is computed once, which is exactly the
 // computation MQO sharing saves. Computations and lookups are counted for
-// the experiments. Hasher is single-threaded; the parallel partitioner
-// uses ShardedHasher, which keeps the same memo semantics under
-// concurrency.
+// the experiments. Hasher is single-threaded; the partitioner hashes
+// whole columns through WordHasher, which keeps the same memo semantics.
 type Hasher struct {
 	memo         map[hkey]uint32
 	Computations int64
@@ -342,71 +339,70 @@ func (h *Hasher) Hash(fn int, v relation.Value) uint32 {
 	return r
 }
 
-// hasherStripes is the stripe count of ShardedHasher. 64 keeps the
-// per-stripe maps small and the lock contention negligible at any
-// realistic shard count.
-const hasherStripes = 64
-
-// ShardedHasher is the concurrency-safe Hasher used by the parallel
-// partitioner: the memo is striped over lock-guarded shards keyed by the
-// (function, value) fingerprint, and the counters are atomics. All
-// partition shards share one ShardedHasher, so each distinct (fn, value)
-// pair is still computed exactly once — the memo semantics (and the
-// Computations/Lookups accounting the Exp-2 experiments report) are
-// identical to the sequential Hasher.
-type ShardedHasher struct {
-	stripes      [hasherStripes]hasherStripe
-	computations atomic.Int64
-	lookups      atomic.Int64
+// WordHasher evaluates hash functions over packed storage words: the
+// values Hasher.Hash returns, memoized per packed word instead of per
+// value. Packed words are canonical — an interned Sym per distinct
+// string, PackNum's payload per distinct number — so the word memo
+// computes exactly the distinct (function, value) pairs the value memo
+// does, and Computations counts them the same way. String words are
+// dense Syms, so their memo is an array indexed by Sym; numeric words go
+// to a map. A WordHasher belongs to one goroutine and memoizes one hash
+// function at a time (Use); to count each pair once, hash every column
+// of a function through one WordHasher between two calls to Use.
+type WordHasher struct {
+	fn      int
+	gen     uint32
+	symGen  []uint32 // symGen[s] == gen: symHash[s] is memoized for fn
+	symHash []uint32
+	nums    [2]map[uint64]uint32 // TypeInt and TypeFloat words
+	// Computations counts the hash evaluations the memo did not answer.
+	Computations int64
 }
 
-type hasherStripe struct {
-	mu   sync.Mutex
-	memo map[hkey]uint32
-	_    [40]byte // pad to a cache line so stripes don't false-share
-}
-
-// NewShardedHasher creates an empty concurrency-safe memoizing hasher.
-func NewShardedHasher() *ShardedHasher {
-	h := &ShardedHasher{}
-	for i := range h.stripes {
-		h.stripes[i].memo = make(map[hkey]uint32)
+// Use starts an empty memo for hash function fn.
+func (h *WordHasher) Use(fn int) {
+	h.fn = fn
+	h.gen++
+	for _, m := range h.nums {
+		clear(m)
 	}
-	return h
 }
 
-// Hash evaluates hash function fn on value v, memoized across all
-// goroutines sharing the hasher.
-func (h *ShardedHasher) Hash(fn int, v relation.Value) uint32 {
-	h.lookups.Add(1)
-	k := hkeyOf(fn, v)
-	// Stripe by a cheap fingerprint of the key; any distribution works,
-	// only the per-stripe map lookup must stay exact.
-	fp := uint32(fn) * 2654435761
-	if k.kind == relation.TypeString {
-		for i := 0; i < len(k.str); i++ {
-			fp = fp*31 + uint32(k.str[i])
+// HashColumn writes the hash of attribute attr of rel.Tuples[i] to out[i]
+// under the function of the last Use.
+func (h *WordHasher) HashColumn(rel *relation.Relation, attr int, out []uint32) {
+	kind := rel.Schema.Attrs[attr].Type
+	if kind == relation.TypeString {
+		syms := rel.Syms()
+		if n := syms.Len(); len(h.symGen) < n {
+			h.symGen = append(h.symGen, make([]uint32, n-len(h.symGen))...)
+			h.symHash = append(h.symHash, make([]uint32, n-len(h.symHash))...)
 		}
-	} else {
-		fp = fp*31 + uint32(k.kind)
-		fp = fp*31 + uint32(k.bits) + uint32(k.bits>>32)
+		for i, t := range rel.Tuples {
+			s := relation.Sym(t.Word(attr))
+			if h.symGen[s] != h.gen {
+				h.symGen[s], h.symHash[s] = h.gen, fnvHashValue(h.fn, relation.S(syms.Str(s)))
+				h.Computations++
+			}
+			out[i] = h.symHash[s]
+		}
+		return
 	}
-	st := &h.stripes[fp%hasherStripes]
-	st.mu.Lock()
-	if r, ok := st.memo[k]; ok {
-		st.mu.Unlock()
-		return r
+	memo := h.nums[kind-relation.TypeInt]
+	if memo == nil {
+		memo = make(map[uint64]uint32)
+		h.nums[kind-relation.TypeInt] = memo
 	}
-	r := fnvHashValue(fn, v)
-	st.memo[k] = r
-	st.mu.Unlock()
-	h.computations.Add(1)
-	return r
-}
-
-// Counts reports the hash evaluations performed and requested so far.
-func (h *ShardedHasher) Counts() (computations, lookups int64) {
-	return h.computations.Load(), h.lookups.Load()
+	for i, t := range rel.Tuples {
+		w := t.Word(attr)
+		r, ok := memo[w]
+		if !ok {
+			r = fnvHashValue(h.fn, relation.Value{Kind: kind, Num: math.Float64frombits(w)})
+			memo[w] = r
+			h.Computations++
+		}
+		out[i] = r
+	}
 }
 
 const (

@@ -1,6 +1,7 @@
 package mqo_test
 
 import (
+	"math"
 	"strings"
 	"testing"
 
@@ -157,6 +158,40 @@ func TestHasherMemoization(t *testing.T) {
 	}
 	if h.Computations != 2 {
 		t.Error("different fn should compute")
+	}
+}
+
+// TestWordHasherMatchesHasher checks the column hasher against the value
+// hasher on every column type, -0 and NaN included: the same hash per
+// tuple, and per function the same number of computations.
+func TestWordHasherMatchesHasher(t *testing.T) {
+	db := relation.MustDatabase(relation.MustSchema("R", "id",
+		relation.Attribute{Name: "id", Type: relation.TypeString},
+		relation.Attribute{Name: "n", Type: relation.TypeInt},
+		relation.Attribute{Name: "f", Type: relation.TypeFloat}))
+	d := relation.NewDataset(db)
+	floats := []float64{1.5, math.Copysign(0, -1), 0, math.NaN(), 1.5, math.NaN()}
+	for i, f := range floats {
+		d.MustAppend("R", relation.S([]string{"a", "b", "a"}[i%3]), relation.I(int64(i%4)), relation.F(f))
+	}
+	rel := d.Relation("R")
+	var wh mqo.WordHasher
+	for fn := 0; fn < 2; fn++ {
+		vh := mqo.NewHasher()
+		wh.Use(fn)
+		before := wh.Computations
+		for attr := 0; attr < 3; attr++ {
+			out := make([]uint32, len(rel.Tuples))
+			wh.HashColumn(rel, attr, out)
+			for i, tu := range rel.Tuples {
+				if want := vh.Hash(fn, tu.Val(attr)); out[i] != want {
+					t.Errorf("fn %d attr %d row %d: word hash %d, value hash %d", fn, attr, i, out[i], want)
+				}
+			}
+		}
+		if got := wh.Computations - before; got != vh.Computations {
+			t.Errorf("fn %d: %d word computations, %d value computations", fn, got, vh.Computations)
+		}
 	}
 }
 

@@ -37,9 +37,9 @@ go test -race -short ./internal/chase ./internal/dmatch ./internal/hypart ./inte
 echo "== provenance equivalence (proof replay vs the reference verifier, all drain modes + DMatch w>=2)"
 go test -short -run 'TestProofReplaysAgainstVerifier|TestDMatchProofEveryPair' ./internal/provenance
 
-echo "== distribution equivalence guards (parallel Partition byte-identity + dedup-routing Gamma equality + in-process and distributed TCP recovery + distributed TCP Gamma equality)"
-go test -short -count=1 -run 'TestPartitionParallelEquivalence' ./internal/hypart
-go test -short -count=1 -run 'TestRoutingDedupGammaEquality|TestInProcessRecovery|TestDistributedEqualsInProcess|TestDistributedRecovery' ./internal/dmatch
+echo "== distribution equivalence guards (parallel Partition byte-identity + Partition golden digests + dedup-routing Gamma equality + in-process and distributed TCP recovery + distributed TCP Gamma equality + distributed start-up error paths)"
+go test -short -count=1 -run 'TestPartitionParallelEquivalence|TestPartitionGolden' ./internal/hypart
+go test -short -count=1 -run 'TestRoutingDedupGammaEquality|TestInProcessRecovery|TestDistributedEqualsInProcess|TestDistributedRecovery|TestDistributedStartupErrors' ./internal/dmatch
 
 echo "== distributed process smoke (-out CSV byte-identity of w=1 vs w=2 and of in-process vs 2 real worker processes over TCP, then kill-one-worker recovery)"
 dist_data=/tmp/dcer_ci_dist_data
@@ -75,9 +75,9 @@ echo "== plan equivalence guards (compiled plans vs interpreter: Gamma byte-iden
 go test -short -count=1 -run 'TestPlanGammaEquivalence|TestPlanDMatchEquivalence|TestPlanAdaptiveReorderEquivalence' ./internal/chase
 go test -race -short -count=1 -run 'TestPlan' ./internal/chase
 
-echo "== allocation-regression guards (index/cache probes, string metrics, saturated enumeration)"
-go test -count=1 -run 'TestIndexProbeAllocs|TestMetricAllocs|TestCacheProbeAllocs|TestEnumerationAllocs' \
-    ./internal/relation ./internal/mlpred ./internal/chase
+echo "== allocation-regression guards (index/cache probes, string metrics, saturated enumeration, partition bytes per tuple copy)"
+go test -count=1 -run 'TestIndexProbeAllocs|TestMetricAllocs|TestCacheProbeAllocs|TestEnumerationAllocs|TestPartitionAllocBytes' \
+    ./internal/relation ./internal/mlpred ./internal/chase ./internal/hypart
 
 echo "== storage equivalence guards (columnar parity + memory-bounded chase Gamma equality)"
 go test -short -count=1 -run 'TestStorageParity|TestMemBudgetGammaEquivalence|TestDepStoreByteBudget' \
@@ -129,7 +129,7 @@ echo "== bench-regression gate (fresh Deduce/IncDeduce arms vs BENCH_9 via bench
 # The gate keeps the BENCH trajectory honest: measure the gated tier
 # fresh (min over 3 repeats suppresses scheduler noise on the shared
 # host) and fail when any arm slowed past the threshold vs the last
-# committed snapshot.
+# committed snapshot, or when an arm of the snapshot was not measured.
 go run ./cmd/bench -fig6=false -repeat 3 -arms '^(Deduce|IncDeduce)/' -memscale 0 -prev '' -out /tmp/dcer_ci_gate.json
 go run ./cmd/benchdiff -gate '^(Deduce|IncDeduce)/' -threshold 10 BENCH_9.json /tmp/dcer_ci_gate.json
 
